@@ -3,8 +3,9 @@
 //!
 //! Prints a pairing comparison (wall clock, events/sec, speedup against
 //! the heap + per-tick reference) before benchmarking the two extremes.
-//! The full-scale comparison lives in the `bench_sched_json` binary
-//! (`BENCH_SCALE=full cargo run --release -p bench --bin bench_sched_json`).
+//! Host cost of the full Table-I cell is measured by the same-host
+//! benchmark (`python3 perfbench/run.py --workload table1_media --seed 1
+//! --seconds 20 --trace 0`).
 
 use capacity::experiment::{EmpiricalConfig, EmpiricalRunner, MediaMode, RunResult, SimOptions};
 use capacity::world::MediaPath;

@@ -835,67 +835,67 @@ mod tests {
         // All four scheduler/media-path pairings run the same experiment;
         // scheduler choice must be invisible in the outputs, and the two
         // media paths must agree on everything except event bookkeeping.
-        let cfg = || EmpiricalConfig::smoke(21);
-        let fast = EmpiricalRunner::run_with(cfg(), SimOptions::default());
-        let reference = EmpiricalRunner::run_with(cfg(), SimOptions::reference());
-        for (a, b) in [
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
+        // The second input has media off and 20 E on 5 channels: every
+        // event is signalling and calls block, so the two signalling paths
+        // are also compared on the reject ladder.
+        let mut signalling_only = EmpiricalConfig::smoke(21);
+        signalling_only.erlangs = 20.0;
+        signalling_only.media = MediaMode::Off;
+        for cfg in [EmpiricalConfig::smoke(21), signalling_only] {
+            let run = |options| EmpiricalRunner::run_with(cfg.clone(), options);
+            let fast = run(SimOptions::default());
+            let reference = run(SimOptions::reference());
+            for (a, b) in [
+                (
+                    &fast,
+                    &run(SimOptions {
                         scheduler: SchedulerKind::Heap,
                         ..SimOptions::default()
-                    },
+                    }),
                 ),
-            ),
-            (
-                &reference,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
+                (
+                    &reference,
+                    &run(SimOptions {
                         scheduler: SchedulerKind::Wheel,
                         ..SimOptions::reference()
-                    },
+                    }),
                 ),
-            ),
-            // The media kernel only changes payload *bytes*, which never
-            // enter the scored physics: swapping it must be digest-exact.
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
+                // The media kernel only changes payload *bytes*, which never
+                // enter the scored physics: swapping it must be digest-exact.
+                (
+                    &fast,
+                    &run(SimOptions {
                         media_kernel: MediaKernel::Reference,
                         ..SimOptions::default()
-                    },
+                    }),
                 ),
-            ),
-            // The signalling path only changes the in-memory transport of
-            // messages between nodes — the analytic wire length equals the
-            // serialized length exactly — so swapping it is digest-exact.
-            (
-                &fast,
-                &EmpiricalRunner::run_with(
-                    cfg(),
-                    SimOptions {
+                // The signalling path only changes the in-memory transport of
+                // messages between nodes — the analytic wire length equals the
+                // serialized length exactly — so swapping it is digest-exact.
+                (
+                    &fast,
+                    &run(SimOptions {
                         signalling: SignallingPath::Reference,
                         ..SimOptions::default()
-                    },
+                    }),
                 ),
-            ),
-        ] {
-            assert_eq!(a.digest(), b.digest(), "engine option leaked");
+            ] {
+                assert_eq!(a.digest(), b.digest(), "engine option leaked");
+            }
+            // Across media paths the signalling plane is identical and the
+            // media plane statistically equivalent (phase quantisation shifts
+            // emission by ≤312 µs; per-packet spacing is unchanged).
+            assert_eq!(fast.attempted, reference.attempted);
+            assert_eq!(fast.completed, reference.completed);
+            assert_eq!(fast.blocked, reference.blocked);
+            if cfg.media == MediaMode::Off {
+                assert!(fast.blocked > 0, "the signalling-only input blocks");
+                continue;
+            }
+            assert!((fast.monitor.mos_mean - reference.monitor.mos_mean).abs() < 0.05);
+            let ratio = fast.monitor.rtp_packets as f64 / reference.monitor.rtp_packets as f64;
+            assert!((ratio - 1.0).abs() < 0.02, "rtp volume ratio {ratio}");
         }
-        // Across media paths the signalling plane is identical and the
-        // media plane statistically equivalent (phase quantisation shifts
-        // emission by ≤312 µs; per-packet spacing is unchanged).
-        assert_eq!(fast.attempted, reference.attempted);
-        assert_eq!(fast.completed, reference.completed);
-        assert_eq!(fast.blocked, reference.blocked);
-        assert!((fast.monitor.mos_mean - reference.monitor.mos_mean).abs() < 0.05);
-        let ratio = fast.monitor.rtp_packets as f64 / reference.monitor.rtp_packets as f64;
-        assert!((ratio - 1.0).abs() < 0.02, "rtp volume ratio {ratio}");
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod rng;
 pub mod shard;
 pub mod stats;
 pub mod time;
-pub mod timeseries;
 
 pub use cancel::{GenTag, Generation};
 pub use engine::{EventHandler, Scheduler, SchedulerKind, Simulation, StepOutcome};
@@ -55,4 +54,3 @@ pub use rng::{stream_seed, Distributions, RngStream, StreamRng};
 pub use shard::{ExecStats, ShardCtx, ShardWorld, ShardedSim};
 pub use stats::{BatchMeans, Counter, Histogram, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::TimeSeries;

@@ -248,8 +248,8 @@ impl Packetizer {
     /// Scalar-reference variant of [`Self::encode_shared`]: per-sample
     /// segment-search companding from [`crate::g711::reference`] rather
     /// than the lookup tables. This is the pre-vectorization media
-    /// kernel, kept callable so `bench_media_json` can run the old and
-    /// new compute planes against each other in one binary.
+    /// kernel, kept callable as `MediaKernel::Reference` so the old and
+    /// new compute planes can be checked against each other in one run.
     ///
     /// # Panics
     /// If `samples.len() != SAMPLES_PER_FRAME`.
