@@ -33,7 +33,18 @@ fn main() {
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
-    let seed = flag("--seed", 2015.0) as u64;
+    // The seed is read as an integer, never through `flag`'s f64: seeds
+    // above 2^53 would otherwise collapse onto their neighbours.
+    let seed = match args.iter().position(|a| a == "--seed") {
+        None => 2015,
+        Some(i) => match args.get(i + 1).map(|v| v.parse::<u64>()) {
+            Some(Ok(seed)) => seed,
+            _ => {
+                eprintln!("capacity-cli: --seed needs an unsigned 64-bit integer");
+                std::process::exit(2);
+            }
+        },
+    };
     // Sweep subcommands: --threads N caps the process-wide worker budget
     // the sweep executor (and any nested sharded run) draws from; the
     // numbers are identical at any value. --progress prints per-cell

@@ -16,7 +16,7 @@ use netsim::topology::{nodes, StarTopology};
 use netsim::{LinkParams, NodeId, SendOutcome};
 use overload::ControlLaw;
 use pbx_sim::{Directory, Pbx, PbxAction, PbxConfig};
-use rtpcore::packet::RtpDatagram;
+use rtpcore::packet::{RtpDatagram, RtpHeader, RTP_HEADER_LEN};
 use rtpcore::packetizer::{FastVoiceSource, Law, Packetizer, VoiceSource, SAMPLES_PER_FRAME};
 use rtpcore::vad::{FrameSlot, TalkspurtSource};
 use sipcore::{AtomTable, SipMessage};
@@ -163,8 +163,10 @@ fn reparse_sdp_body(mut msg: SipMessage) -> SipMessage {
 /// What travels inside a network frame.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// A SIP message (wire length precomputed).
-    Sip(SipMessage),
+    /// A SIP message (wire length precomputed). Boxed: inline, it would
+    /// make every [`Ev`] — media ticks included — as large as a message.
+    /// The box is allocated once per message and moves across hops.
+    Sip(Box<SipMessage>),
     /// A SIP message as raw wire bytes (the [`SignallingPath::Reference`]
     /// form; shared so hops clone a refcount, not the bytes).
     SipWire(Arc<[u8]>),
@@ -832,7 +834,7 @@ impl World {
                     src,
                     dst: to,
                     wire_len,
-                    payload: Payload::Sip(msg),
+                    payload: Payload::Sip(Box::new(msg)),
                 }
             }
             SignallingPath::Reference => {
@@ -1171,16 +1173,19 @@ impl World {
         }
     }
 
-    /// Advance one session by one frame: returns the datagram to emit, or
-    /// `None` for a silence-suppressed slot. `scratch` is the world's
-    /// reused PCM buffer (batched kernel only); `kernel` selects how
-    /// refresh frames are synthesised and companded.
-    fn next_media_datagram(
+    /// Advance one session by one frame: refresh the cached payload on
+    /// encode frames and stamp the next header, or return `None` for a
+    /// silence-suppressed slot. `scratch` is the world's reused PCM buffer
+    /// (batched kernel only); `kernel` selects how refresh frames are
+    /// synthesised and companded. The payload itself stays in
+    /// `session.cached_payload`: the cut-through path reads only the
+    /// header and the wire length, so it never touches the refcount.
+    fn next_media_header(
         session: &mut MediaSession,
         scratch: &mut [i16; SAMPLES_PER_FRAME],
         kernel: MediaKernel,
         encode_every: u64,
-    ) -> Option<RtpDatagram> {
+    ) -> Option<RtpHeader> {
         // With VAD, a silent slot advances the media clock and sends
         // nothing; the frame cadence continues.
         let talking = match &mut session.source {
@@ -1224,12 +1229,29 @@ impl World {
                 AudioSource::Talkspurt(_) => {}
             }
         }
-        // The steady-state fast path: clone an Arc, not 160 bytes.
-        let datagram = session
-            .packetizer
-            .packetize_shared(session.cached_payload.clone());
+        assert_eq!(
+            session.cached_payload.len(),
+            SAMPLES_PER_FRAME,
+            "one 20 ms frame at a time"
+        );
         session.frames_sent += 1;
-        Some(datagram)
+        Some(session.packetizer.next_header())
+    }
+
+    /// [`Self::next_media_header`] plus the payload, for the paths that
+    /// carry real frames (per-tick, and coalesced under a capture): the
+    /// steady state clones an `Arc`, not 160 bytes.
+    fn next_media_datagram(
+        session: &mut MediaSession,
+        scratch: &mut [i16; SAMPLES_PER_FRAME],
+        kernel: MediaKernel,
+        encode_every: u64,
+    ) -> Option<RtpDatagram> {
+        let header = Self::next_media_header(session, scratch, kernel, encode_every)?;
+        Some(RtpDatagram {
+            header,
+            payload: session.cached_payload.clone(),
+        })
     }
 
     /// Cut-through emission for the coalesced path: chase the packet
@@ -1246,7 +1268,7 @@ impl World {
         src: NodeId,
         pbx: NodeId,
         pbx_port: u16,
-        datagram: &RtpDatagram,
+        header: &RtpHeader,
         timer: &mut PhaseTimer,
     ) {
         let Some(k) = self.pbx_index_of(pbx) else {
@@ -1255,7 +1277,8 @@ impl World {
         if self.pbx_down[k] {
             return;
         }
-        let wire_len = datagram.wire_len() + 46;
+        // `next_media_header` asserts every payload is one 20 ms frame.
+        let wire_len = RTP_HEADER_LEN + SAMPLES_PER_FRAME + 46;
         let delivered = timer.measure(Phase::Relay, || {
             let sw = self.topo.next_hop(src, pbx);
             let net = &mut self.topo.network;
@@ -1289,12 +1312,8 @@ impl World {
         };
         let flow = FlowId::from_node_port(to.0, to_port);
         timer.measure(Phase::Scoring, || {
-            self.monitor.tap_rtp(
-                flow,
-                t4.as_secs_f64(),
-                t4.since(now).as_secs_f64(),
-                &datagram.header,
-            );
+            self.monitor
+                .tap_rtp(flow, t4.as_secs_f64(), t4.since(now).as_secs_f64(), header);
         });
     }
 
@@ -1399,29 +1418,33 @@ impl World {
             }
             if session.next_due <= now {
                 session.next_due += FRAME_PERIOD;
-                let emit = timer
-                    .measure(Phase::MediaEncode, || {
+                let (src, dst, port) =
+                    (session.local_node, session.remote_node, session.remote_port);
+                if self.capture.is_none() {
+                    // Without a span port, cut straight through the network
+                    // model: only the header and the wire length travel.
+                    let header = timer.measure(Phase::MediaEncode, || {
+                        Self::next_media_header(
+                            session,
+                            &mut self.media_scratch,
+                            kernel,
+                            encode_every,
+                        )
+                    });
+                    if let Some(header) = header {
+                        self.emit_media_express(now, src, dst, port, &header, timer);
+                    }
+                } else {
+                    // A span port needs real per-hop frames.
+                    let datagram = timer.measure(Phase::MediaEncode, || {
                         Self::next_media_datagram(
                             session,
                             &mut self.media_scratch,
                             kernel,
                             encode_every,
                         )
-                    })
-                    .map(|d| {
-                        (
-                            session.local_node,
-                            session.remote_node,
-                            session.remote_port,
-                            d,
-                        )
                     });
-                if let Some((src, dst, port, datagram)) = emit {
-                    if self.capture.is_none() {
-                        // A span port needs real per-hop frames; without
-                        // one, cut straight through the network model.
-                        self.emit_media_express(now, src, dst, port, &datagram, timer);
-                    } else {
+                    if let Some(datagram) = datagram {
                         timer.measure(Phase::Relay, || {
                             self.emit_media(now, sched, src, dst, port, datagram);
                         });
@@ -1507,7 +1530,7 @@ impl World {
         }
         match frame.payload {
             Payload::Sip(msg) => timer.measure(Phase::Signalling, || {
-                self.handle_sip_delivery(now, sched, frame.src, frame.dst, msg);
+                self.handle_sip_delivery(now, sched, frame.src, frame.dst, *msg);
             }),
             Payload::SipWire(bytes) => {
                 // The reference path's per-delivery cost, attributed to its
@@ -1884,5 +1907,24 @@ impl EventHandler<Ev> for World {
             }),
         }
         self.phase_timer = timer;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every future-event-list push and pop moves a whole `Ev`, so its
+    /// size is paid by every event, an 8-byte `MediaFrame` included.
+    /// A large variant inlined (an unboxed `SipMessage` makes it 176
+    /// bytes) would tax the media hot path; box it instead.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn event_stays_small() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 72,
+            "Ev is {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 }

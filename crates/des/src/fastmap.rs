@@ -2,12 +2,14 @@
 //!
 //! `std`'s default hasher (SipHash behind `RandomState`) costs tens of
 //! nanoseconds per lookup and is seeded randomly per process. The maps on
-//! the per-packet path — directed links, PBX media ports, monitor flows —
-//! are keyed by word-sized integers and probed millions of times per run,
-//! so both properties are wrong there: the cost dominates the event loop
-//! and the seeding makes iteration order vary across processes. This
-//! multiply-xor hasher (the rustc `FxHash` construction) is deterministic
-//! and an order of magnitude cheaper on integer keys.
+//! the per-packet path — PBX media ports, monitor flows — are keyed by
+//! word-sized integers and probed millions of times per run, so both
+//! properties are wrong there: the cost dominates the event loop and the
+//! seeding makes iteration order vary across processes. This multiply-xor
+//! hasher (the rustc `FxHash` construction) is deterministic and an order
+//! of magnitude cheaper on integer keys. (Keys that are small dense
+//! integers need no hashing at all: `netsim` indexes its directed links
+//! by node id in a plain table.)
 //!
 //! Iteration order of a [`FastMap`] is still arbitrary (bucket order).
 //! Callers that fold floats out of one must sort the keys first — see the

@@ -18,7 +18,6 @@
 pub mod topology;
 
 use des::rng::Distributions;
-use des::FastMap;
 use des::{SimDuration, SimTime, StreamRng};
 use serde::{Deserialize, Serialize};
 
@@ -120,6 +119,41 @@ struct Link {
     /// Time at which the transmitter finishes everything queued so far.
     busy_until: SimTime,
     stats: LinkStats,
+    /// The last `(wire_bytes, transmit time)` pair [`Link::tx_time`]
+    /// computed. Transmit time is a pure function of size and bandwidth,
+    /// and a media link carries one packet size over and over, so this
+    /// saves the float divide and rounding on almost every packet.
+    /// Cleared whenever `params` changes.
+    tx_memo: Option<(usize, SimDuration)>,
+}
+
+impl Link {
+    fn new(params: LinkParams) -> Self {
+        Link {
+            params,
+            busy_until: SimTime::ZERO,
+            stats: LinkStats::default(),
+            tx_memo: None,
+        }
+    }
+
+    /// Serialization time of `wire_bytes` at this link's bandwidth.
+    fn tx_time(&mut self, wire_bytes: usize) -> SimDuration {
+        match self.tx_memo {
+            Some((bytes, tx)) if bytes == wire_bytes => tx,
+            _ => {
+                let tx =
+                    SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / self.params.bandwidth_bps);
+                self.tx_memo = Some((wire_bytes, tx));
+                tx
+            }
+        }
+    }
+
+    fn set_params(&mut self, params: LinkParams) -> LinkParams {
+        self.tx_memo = None;
+        std::mem::replace(&mut self.params, params)
+    }
 }
 
 /// Outcome of offering a packet to a link.
@@ -139,9 +173,18 @@ pub enum SendOutcome {
 }
 
 /// The directed-link network.
+///
+/// Links live in a table indexed by node id, `rows[from][to]`, so finding
+/// a link is two indexings and no hashing. Node ids are small dense
+/// integers: [`topology::StarTopology`] numbers the switch 0, the SIPp
+/// hosts 1 and 2 and PBX `k` 3 + k. A source's row is only as long as its
+/// largest destination id plus one, so the table holds at most
+/// (largest id + 1) slots per source that has a link. For a star around
+/// node 0 that is one slot per host and one row of (hosts + 1) slots at
+/// the switch: memory grows with the node count, not with its square.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    links: FastMap<(NodeId, NodeId), Link>,
+    rows: Vec<Vec<Option<Link>>>,
 }
 
 impl Network {
@@ -151,16 +194,37 @@ impl Network {
         Network::default()
     }
 
-    /// Install a directed link.
+    fn link(&self, from: NodeId, to: NodeId) -> Option<&Link> {
+        self.rows
+            .get(usize::from(from.0))?
+            .get(usize::from(to.0))?
+            .as_ref()
+    }
+
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> Option<&mut Link> {
+        self.rows
+            .get_mut(usize::from(from.0))?
+            .get_mut(usize::from(to.0))?
+            .as_mut()
+    }
+
+    /// Every installed link, in (source, destination) id order.
+    fn links(&self) -> impl Iterator<Item = &Link> {
+        self.rows.iter().flatten().flatten()
+    }
+
+    /// Install a directed link (replacing any link `from -> to` already
+    /// there).
     pub fn add_link(&mut self, from: NodeId, to: NodeId, params: LinkParams) {
-        self.links.insert(
-            (from, to),
-            Link {
-                params,
-                busy_until: SimTime::ZERO,
-                stats: LinkStats::default(),
-            },
-        );
+        let (from, to) = (usize::from(from.0), usize::from(to.0));
+        if self.rows.len() <= from {
+            self.rows.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.rows[from];
+        if row.len() <= to {
+            row.resize_with(to + 1, || None);
+        }
+        row[to] = Some(Link::new(params));
     }
 
     /// Install both directions with the same parameters.
@@ -172,7 +236,7 @@ impl Network {
     /// True if a directed link exists.
     #[must_use]
     pub fn has_link(&self, from: NodeId, to: NodeId) -> bool {
-        self.links.contains_key(&(from, to))
+        self.link(from, to).is_some()
     }
 
     /// The smallest one-hop delay any frame can currently experience: the
@@ -186,13 +250,13 @@ impl Network {
     /// use as a synchronization horizon.
     #[must_use]
     pub fn min_latency_floor(&self) -> Option<SimDuration> {
-        self.links.values().map(|l| l.params.propagation).min()
+        self.links().map(|l| l.params.propagation).min()
     }
 
     /// Current parameters of a directed link, if present.
     #[must_use]
     pub fn link_params(&self, from: NodeId, to: NodeId) -> Option<LinkParams> {
-        self.links.get(&(from, to)).map(|l| l.params)
+        self.link(from, to).map(|l| l.params)
     }
 
     /// Replace the parameters of an existing directed link at runtime —
@@ -207,9 +271,7 @@ impl Network {
         to: NodeId,
         params: LinkParams,
     ) -> Option<LinkParams> {
-        self.links
-            .get_mut(&(from, to))
-            .map(|l| std::mem::replace(&mut l.params, params))
+        self.link_mut(from, to).map(|l| l.set_params(params))
     }
 
     /// [`Network::set_link_params`] applied to both directions. Returns
@@ -241,7 +303,7 @@ impl Network {
         wire_bytes: usize,
         rng: &mut StreamRng,
     ) -> SendOutcome {
-        let Some(link) = self.links.get_mut(&(from, to)) else {
+        let Some(link) = self.link_mut(from, to) else {
             return SendOutcome::NoRoute;
         };
         if link.params.loss_probability > 0.0 && rng.coin(link.params.loss_probability) {
@@ -254,7 +316,7 @@ impl Network {
             link.stats.dropped_queue += 1;
             return SendOutcome::DroppedQueueFull;
         }
-        let tx = SimDuration::from_secs_f64(wire_bytes as f64 * 8.0 / link.params.bandwidth_bps);
+        let tx = link.tx_time(wire_bytes);
         let done = start + tx;
         link.busy_until = done;
         link.stats.delivered += 1;
@@ -268,14 +330,14 @@ impl Network {
     /// Counters for a directed link.
     #[must_use]
     pub fn stats(&self, from: NodeId, to: NodeId) -> Option<LinkStats> {
-        self.links.get(&(from, to)).map(|l| l.stats)
+        self.link(from, to).map(|l| l.stats)
     }
 
     /// Aggregate counters over every link.
     #[must_use]
     pub fn total_stats(&self) -> LinkStats {
         let mut agg = LinkStats::default();
-        for l in self.links.values() {
+        for l in self.links() {
             agg.delivered += l.stats.delivered;
             agg.dropped_queue += l.stats.dropped_queue;
             agg.dropped_error += l.stats.dropped_error;
@@ -292,8 +354,7 @@ impl Network {
         if span <= 0.0 {
             return 0.0;
         }
-        self.links
-            .get(&(from, to))
+        self.link(from, to)
             .map(|l| l.stats.busy.as_secs_f64() / span)
             .unwrap_or(0.0)
     }
@@ -484,6 +545,88 @@ mod tests {
         let tot = n.total_stats();
         assert_eq!(tot.delivered, 10);
         assert_eq!(tot.bytes, 10_000);
+    }
+
+    fn delivered_at(out: SendOutcome) -> SimTime {
+        match out {
+            SendOutcome::Delivered { at } => at,
+            o => panic!("{o:?}"),
+        }
+    }
+
+    fn idle_1mbps() -> LinkParams {
+        LinkParams {
+            bandwidth_bps: 1e6,
+            propagation: SimDuration::ZERO,
+            max_queue_delay: SimDuration::from_secs(1),
+            loss_probability: 0.0,
+        }
+    }
+
+    #[test]
+    fn retuned_bandwidth_changes_the_next_transmit_time() {
+        // The first packet memoises 1000 B -> 8 ms; a packet of the same
+        // size after each retune must see the new bandwidth, not the memo.
+        let mut n = Network::new();
+        n.add_duplex_link(A, B, idle_1mbps());
+        let mut r = rng();
+        let t = SimTime::from_secs(1);
+        assert_eq!(
+            delivered_at(n.enqueue(SimTime::ZERO, A, B, 1000, &mut r)),
+            SimTime::from_millis(8)
+        );
+        let fast = LinkParams {
+            bandwidth_bps: 4e6,
+            ..idle_1mbps()
+        };
+        n.set_link_params(A, B, fast);
+        assert_eq!(
+            delivered_at(n.enqueue(t, A, B, 1000, &mut r)),
+            t + SimDuration::from_millis(2)
+        );
+
+        assert_eq!(
+            delivered_at(n.enqueue(t, B, A, 1000, &mut r)),
+            t + SimDuration::from_millis(8)
+        );
+        let slow = LinkParams {
+            bandwidth_bps: 0.5e6,
+            ..idle_1mbps()
+        };
+        n.set_duplex_link_params(A, B, slow);
+        let t = SimTime::from_secs(2);
+        for (from, to) in [(A, B), (B, A)] {
+            assert_eq!(
+                delivered_at(n.enqueue(t, from, to, 1000, &mut r)),
+                t + SimDuration::from_millis(16),
+                "{from:?}->{to:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn growing_the_table_keeps_earlier_links() {
+        let mut n = Network::new();
+        n.add_link(A, B, idle_1mbps());
+        let mut r = rng();
+        n.enqueue(SimTime::ZERO, A, B, 1000, &mut r);
+        n.enqueue(SimTime::ZERO, A, B, 1000, &mut r);
+        let before = n.stats(A, B).unwrap();
+        // Longer rows for an existing source and a new, higher source id.
+        n.add_link(A, NodeId(40), LinkParams::fast_ethernet());
+        n.add_duplex_link(NodeId(300), B, LinkParams::fast_ethernet());
+        let after = n.stats(A, B).unwrap();
+        assert_eq!(after.delivered, before.delivered);
+        assert_eq!(after.bytes, before.bytes);
+        assert_eq!(after.busy, before.busy);
+        // The transmitter backlog (busy until 16 ms) survived too.
+        assert_eq!(
+            delivered_at(n.enqueue(SimTime::ZERO, A, B, 1000, &mut r)),
+            SimTime::from_millis(24)
+        );
+        assert!(n.has_link(A, NodeId(40)) && n.has_link(B, NodeId(300)));
+        assert!(!n.has_link(NodeId(40), A));
+        assert_eq!(n.total_stats().delivered, 3);
     }
 
     #[test]

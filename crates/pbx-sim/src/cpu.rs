@@ -41,6 +41,11 @@ impl Default for CpuCosts {
     }
 }
 
+/// `cost` scaled by a throttle `factor`, rounded to the nanosecond.
+fn scaled(cost: SimDuration, factor: f64) -> SimDuration {
+    SimDuration::from_secs_f64(cost.as_secs_f64() * factor)
+}
+
 /// The accruing CPU model.
 #[derive(Debug, Clone)]
 pub struct CpuModel {
@@ -49,6 +54,11 @@ pub struct CpuModel {
     /// capping, a noisy co-tenant — raises it; every subsequent event then
     /// costs `throttle ×` its calibrated time.
     throttle: f64,
+    /// `costs.sip_cost` and `costs.rtp_cost` scaled by `throttle`, kept in
+    /// step by [`CpuModel::set_throttle`] so the per-packet path does no
+    /// float work.
+    sip_scaled: SimDuration,
+    rtp_scaled: SimDuration,
     busy_total: SimDuration,
     window_len: SimDuration,
     window_start: SimTime,
@@ -65,6 +75,8 @@ impl CpuModel {
         CpuModel {
             costs,
             throttle: 1.0,
+            sip_scaled: scaled(costs.sip_cost, 1.0),
+            rtp_scaled: scaled(costs.rtp_cost, 1.0),
             busy_total: SimDuration::ZERO,
             window_len,
             window_start: SimTime::ZERO,
@@ -79,9 +91,9 @@ impl CpuModel {
         CpuModel::new(CpuCosts::default(), SimDuration::from_secs(5))
     }
 
+    /// Charge one event whose throttled cost is `cost`.
     fn accrue(&mut self, now: SimTime, cost: SimDuration) {
         self.roll_windows(now);
-        let cost = SimDuration::from_secs_f64(cost.as_secs_f64() * self.throttle);
         self.busy_total = self.busy_total + cost;
         self.window_busy = self.window_busy + cost;
     }
@@ -91,6 +103,8 @@ impl CpuModel {
     pub fn set_throttle(&mut self, factor: f64) {
         assert!(factor > 0.0, "throttle factor must be positive");
         self.throttle = factor;
+        self.sip_scaled = scaled(self.costs.sip_cost, factor);
+        self.rtp_scaled = scaled(self.costs.rtp_cost, factor);
     }
 
     /// Current throttle factor.
@@ -119,12 +133,12 @@ impl CpuModel {
 
     /// Account one SIP message at time `now`.
     pub fn on_sip_message(&mut self, now: SimTime) {
-        self.accrue(now, self.costs.sip_cost);
+        self.accrue(now, self.sip_scaled);
     }
 
     /// Account one relayed RTP packet at time `now`.
     pub fn on_rtp_packet(&mut self, now: SimTime) {
-        self.accrue(now, self.costs.rtp_cost);
+        self.accrue(now, self.rtp_scaled);
     }
 
     /// Mean utilisation over `[0, until]`, including base load.
@@ -255,6 +269,21 @@ mod tests {
         let u_n = nominal.mean_utilisation(until) - base;
         let u_t = throttled.mean_utilisation(until) - base;
         assert!((u_t - 3.0 * u_n).abs() < 1e-9, "u_t={u_t} u_n={u_n}");
+
+        // Mid-run changes: each event costs the factor in force when it
+        // arrives, SIP and RTP alike, and 1.0 restores nominal costs.
+        let costs = CpuCosts::default();
+        let per_pair = costs.sip_cost.as_nanos() + costs.rtp_cost.as_nanos();
+        for (factor, per_pair_ns) in [(2.0, 2 * per_pair), (0.5, per_pair / 2), (1.0, per_pair)] {
+            throttled.set_throttle(factor);
+            let before = throttled.busy_total;
+            for _ in 0..1000 {
+                throttled.on_rtp_packet(SimTime::from_secs(3));
+                throttled.on_sip_message(SimTime::from_secs(3));
+            }
+            let charged = throttled.busy_total.as_nanos() - before.as_nanos();
+            assert_eq!(charged, 1000 * per_pair_ns, "factor {factor}");
+        }
     }
 
     #[test]

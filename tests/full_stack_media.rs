@@ -105,3 +105,54 @@ fn cpu_cost_scales_with_media_volume() {
         without.cpu_mean
     );
 }
+
+#[test]
+fn capture_records_every_delivered_frame() {
+    // With a capture on, the coalesced path sends real per-hop frames and
+    // the pcap records each frame once, at its final destination. Every
+    // RTP packet travels endpoint -> PBX, then (if relayed) PBX -> the
+    // other endpoint, so the RTP records split exactly into
+    //   at the PBX:       rtp_relayed + rtp_dropped (one relay decision each)
+    //   at the endpoints: monitor.rtp_packets (one tap each),
+    // and on this loss-free LAN every relayed packet reaches its endpoint.
+    let cfg = EmpiricalConfig {
+        capture_traffic: true,
+        ..EmpiricalConfig::smoke(7)
+    };
+    let r = EmpiricalRunner::run(cfg.clone());
+    assert_eq!(
+        r.attempted,
+        r.completed + r.blocked + r.failed + r.abandoned,
+        "call conservation"
+    );
+    assert!(r.completed > 0 && r.monitor.rtp_packets > 0, "{r:?}");
+
+    // The same run, kept as a world so its capture can be read back. The
+    // horizon is the one `EmpiricalRunner` gives this cell: 1 s lead-in +
+    // 20 s placement + (10 s hold + 10 s slack) + 5 s drain.
+    let sim = capacity::experiment::run_world(cfg, des::SimTime::from_secs(46));
+    assert_eq!(sim.events_processed(), r.events_processed, "same run");
+    let world = &sim.world;
+    let pcap = world.capture.as_ref().expect("capture enabled");
+    let records = vmon::pcap::read_pcap(&pcap.to_bytes()).expect("pcap parses back");
+    assert_eq!(records.len(), pcap.len());
+
+    let pbx = capacity::world::pbx_node(0).0;
+    let (sip, rtp): (Vec<_>, Vec<_>) = records.iter().partition(|p| p.dst_port == 5060);
+    let at_pbx = rtp.iter().filter(|p| p.dst_node == pbx).count() as u64;
+    let at_endpoints = rtp.len() as u64 - at_pbx;
+    let stats = world.pbxes[0].stats();
+    assert!(!sip.is_empty(), "SIP records captured");
+    assert_eq!(
+        sip.len() as u64,
+        r.monitor.sip_total,
+        "one record per SIP delivery"
+    );
+    assert_eq!(at_pbx, stats.rtp_relayed + stats.rtp_dropped);
+    assert_eq!(at_endpoints, r.monitor.rtp_packets);
+    assert_eq!(at_endpoints, stats.rtp_relayed);
+    assert!(
+        rtp.iter().all(|p| p.payload.len() == 12 + 160),
+        "RTP records carry header + one G.711 frame"
+    );
+}
