@@ -1,4 +1,4 @@
-//! Integration: golden `RunResult::digest()` values for five small cells.
+//! Integration: golden `RunResult::digest()` values for seven small cells.
 //!
 //! The other determinism tests compare two runs of the *same* build (heap
 //! vs wheel, kernel vs kernel). This one pins absolute digests, so physics
@@ -10,10 +10,14 @@
 //! The cells cover every media path the world has:
 //! the coalesced cut-through relay, per-hop frames under a pcap capture,
 //! the per-tick reference path, runtime link/CPU retuning by faults, and a
-//! signalling-only blocking cell.
+//! signalling-only blocking cell. Two more cover the engines beyond the
+//! single world: a full-media farm split into per-PBX shard worlds (run
+//! by both the sequential interleave and the windowed executor) and a
+//! finite-source population cell with registration churn.
 
 use asterisk_capacity::prelude::*;
 use capacity::experiment::{MediaMode, RunResult};
+use capacity::shard::{run_partitioned, ExecMode};
 use capacity::world::pbx_node;
 use faults::{FaultKind, FaultSchedule};
 use netsim::topology::nodes;
@@ -114,4 +118,38 @@ fn signalling_only_blocking_cell() {
     assert!(r.blocked > 0, "20 E on 5 channels blocks");
     assert_eq!(r.monitor.rtp_packets, 0, "no media");
     check("blocking", &r, 0x1d93_245d_16b9_0f67);
+}
+
+#[test]
+fn sharded_media_farm() {
+    // Three PBX shards, each a full-media world with 10 s holds: media
+    // re-arms stay near the cursor while hangups sit beyond the ≈2.1 s
+    // wheel horizon, so every level of each shard's event list is used.
+    let cfg = EmpiricalConfig {
+        servers: 3,
+        erlangs: 9.0,
+        ..media_cell()
+    };
+    for mode in [ExecMode::Sequential, ExecMode::Sharded { threads: 1 }] {
+        let r = run_partitioned(cfg.clone(), SimOptions::default(), mode);
+        assert!(r.monitor.rtp_packets > 0, "media flowed");
+        check(&format!("farm {mode:?}"), &r, 0x458f_dc06_6fec_9cea);
+    }
+}
+
+#[test]
+fn population_churn_cell() {
+    // 200 finite sources re-REGISTERing every 30 s through a 12-bucket
+    // churn wheel, signalling only.
+    let mut cfg = EmpiricalConfig {
+        media: MediaMode::Off,
+        ..EmpiricalConfig::smoke(33)
+    };
+    let mut pop = loadgen::PopulationConfig::for_offered_load(200, cfg.erlangs, cfg.holding.mean());
+    pop.reg_expiry_s = 30.0;
+    pop.churn_buckets = 12;
+    cfg.population = Some(pop);
+    let r = EmpiricalRunner::run(cfg);
+    assert!(r.completed > 0, "calls completed");
+    check("population", &r, 0x163c_7e8b_4a96_0bcf);
 }
